@@ -152,15 +152,19 @@ enum AttemptError {
     Fatal(String),
 }
 
-/// Send `request` once and read the one-line response.
+/// Send `request` once and read the one-line response. The line and
+/// its newline go out in one write with `TCP_NODELAY`: a separately
+/// written newline would sit in Nagle's buffer until the daemon's
+/// delayed ACK (~40 ms).
 fn attempt(addr: &str, request: &str) -> Result<Value, AttemptError> {
     let stream = TcpStream::connect(addr)
         .map_err(|e| AttemptError::Transient(format!("cannot connect to {addr}: {e}")))?;
+    let _ = stream.set_nodelay(true);
     let mut writer = stream
         .try_clone()
         .map_err(|e| AttemptError::Transient(e.to_string()))?;
-    writeln!(writer, "{request}")
-        .and_then(|()| writer.flush())
+    writer
+        .write_all(format!("{request}\n").as_bytes())
         .map_err(|e| AttemptError::Transient(format!("send failed: {e}")))?;
     let mut line = String::new();
     BufReader::new(stream)

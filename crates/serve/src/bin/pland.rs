@@ -19,8 +19,9 @@
 //!       [--write-timeout-ms N]
 //! ```
 //!
-//! The flight recorder is always on (`--recorder-capacity 0` disables
-//! it). On panic the daemon dumps the recorder's last events as JSON
+//! `--cache-capacity` bounds both the plan cache and the model memo;
+//! `--no-cache` turns both off. The flight recorder is always on
+//! (`--recorder-capacity 0` disables it). On panic the daemon dumps the recorder's last events as JSON
 //! to stderr before dying, so a crash leaves a black box behind.
 //!
 //! Lifecycle events (`drain.begin`, `drain.end`, `snapshot.load`,

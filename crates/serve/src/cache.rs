@@ -1,9 +1,12 @@
-//! Sharded, lock-striped LRU plan cache.
+//! Sharded, lock-striped LRU caches: the plan cache and the model memo.
 //!
-//! Entries are keyed by the canonical FNV-1a content hash of the
-//! request ([`crate::request::PlanRequest::key`]); the canonical JSON
-//! itself is stored alongside and compared on every probe, so a hash
-//! collision degrades to a miss instead of serving the wrong plan.
+//! Entries are keyed by an FNV-1a content hash of a canonical JSON
+//! rendering — the whole request for [`PlanCache`]
+//! ([`crate::request::PlanRequest::key`]), its cluster + program part
+//! for [`ModelMemo`] ([`crate::request::model_canon`]). The canonical
+//! JSON itself is stored alongside and compared on every probe, so a
+//! hash collision degrades to a miss instead of serving the wrong
+//! value.
 //!
 //! The map is striped into `shards` independent `Mutex`-protected
 //! shards selected by the key's high bits, so concurrent requests for
@@ -12,27 +15,36 @@
 //! linear scans are cheaper than pointer-chasing at that size).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
+use mheta_core::Mheta;
 use mheta_obs::json::Value;
 
 use crate::planner::Plan;
 
-struct Entry {
+struct Entry<V> {
     key: u64,
     canon: String,
-    plan: Plan,
+    value: V,
     last_used: u64,
 }
 
-struct Shard {
-    entries: Vec<Entry>,
+struct Shard<V> {
+    entries: Vec<Entry<V>>,
     tick: u64,
 }
 
 /// Lock-striped LRU cache of finished plans.
-pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
+pub type PlanCache = ShardedLru<Plan>;
+
+/// Lock-striped LRU memo of assembled models. Virtual time is
+/// deterministic, so a model is a pure function of its cluster and
+/// program: one build serves every search over that pair.
+pub type ModelMemo = ShardedLru<Arc<Mheta>>;
+
+/// A lock-striped LRU map from a canonical rendering to a value.
+pub struct ShardedLru<V> {
+    shards: Vec<Mutex<Shard<V>>>,
     capacity_per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -41,7 +53,7 @@ pub struct PlanCache {
     invalidations: AtomicU64,
 }
 
-impl PlanCache {
+impl<V: Clone> ShardedLru<V> {
     /// A cache of `shards` stripes holding at most `capacity` entries
     /// in total (rounded up to a multiple of the shard count). Both
     /// arguments are clamped to at least 1.
@@ -49,7 +61,7 @@ impl PlanCache {
     pub fn new(shards: usize, capacity: usize) -> Self {
         let shards = shards.max(1);
         let capacity_per_shard = capacity.max(1).div_ceil(shards);
-        PlanCache {
+        ShardedLru {
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(Shard {
@@ -67,7 +79,7 @@ impl PlanCache {
         }
     }
 
-    fn shard(&self, key: u64) -> &Mutex<Shard> {
+    fn shard(&self, key: u64) -> &Mutex<Shard<V>> {
         // High bits: FNV-1a mixes them well, and the low bits already
         // pick the LRU slot ordering inside a shard.
         let idx = (key >> 32) as usize % self.shards.len();
@@ -77,7 +89,7 @@ impl PlanCache {
     /// Probe for `key`; `canon` disambiguates hash collisions. Bumps
     /// the hit/miss counters and the entry's recency on hit.
     #[must_use]
-    pub fn get(&self, key: u64, canon: &str) -> Option<Plan> {
+    pub fn get(&self, key: u64, canon: &str) -> Option<V> {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
@@ -87,17 +99,17 @@ impl PlanCache {
             .find(|e| e.key == key && e.canon == canon)
         {
             e.last_used = tick;
-            let plan = e.plan.clone();
+            let value = e.value.clone();
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(plan);
+            return Some(value);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         None
     }
 
-    /// Insert (or refresh) the plan for `key`, evicting the shard's
+    /// Insert (or refresh) the value for `key`, evicting the shard's
     /// least-recently-used entry if it is full.
-    pub fn insert(&self, key: u64, canon: &str, plan: Plan) {
+    pub fn insert(&self, key: u64, canon: &str, value: V) {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
@@ -106,7 +118,7 @@ impl PlanCache {
             .iter_mut()
             .find(|e| e.key == key && e.canon == canon)
         {
-            e.plan = plan;
+            e.value = value;
             e.last_used = tick;
             return;
         }
@@ -124,14 +136,14 @@ impl PlanCache {
         shard.entries.push(Entry {
             key,
             canon: canon.to_string(),
-            plan,
+            value,
             last_used: tick,
         });
         self.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drop every cached plan (e.g. after a model change); returns how
-    /// many entries were invalidated.
+    /// Drop every entry (e.g. after a model change); returns how many
+    /// entries were invalidated.
     pub fn invalidate_all(&self) -> usize {
         let mut dropped = 0;
         for shard in &self.shards {
@@ -157,27 +169,27 @@ impl PlanCache {
         dropped > 0
     }
 
-    /// Export every entry as `(key, canonical JSON, plan)`,
+    /// Export every entry as `(key, canonical JSON, value)`,
     /// least-recently-used first within each shard — so re-`insert`ing
     /// the export in order (see [`crate::snapshot`]) reproduces each
     /// shard's recency ordering.
     #[must_use]
-    pub fn export(&self) -> Vec<(u64, String, Plan)> {
+    pub fn export(&self) -> Vec<(u64, String, V)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("cache shard poisoned");
-            let mut entries: Vec<&Entry> = shard.entries.iter().collect();
+            let mut entries: Vec<&Entry<V>> = shard.entries.iter().collect();
             entries.sort_by_key(|e| e.last_used);
             out.extend(
                 entries
                     .into_iter()
-                    .map(|e| (e.key, e.canon.clone(), e.plan.clone())),
+                    .map(|e| (e.key, e.canon.clone(), e.value.clone())),
             );
         }
         out
     }
 
-    /// Entries currently cached.
+    /// Entries currently held.
     #[must_use]
     pub fn len(&self) -> usize {
         self.shards
@@ -186,19 +198,19 @@ impl PlanCache {
             .sum()
     }
 
-    /// True when no plans are cached.
+    /// True when no entries are held.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Cache hits so far.
+    /// Hits so far.
     #[must_use]
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cache misses so far.
+    /// Misses so far.
     #[must_use]
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)

@@ -9,7 +9,9 @@
 //!   hash (FNV-1a over a canonical JSON rendering of cluster config,
 //!   program structure, and search parameters);
 //! * [`cache`] — a sharded, lock-striped LRU plan cache with hit /
-//!   miss / eviction counters and explicit invalidation;
+//!   miss / eviction counters and explicit invalidation, and on the
+//!   same structure the model memo, which shares one assembled model
+//!   among searches over the same cluster and program;
 //! * [`singleflight`] — concurrent identical requests coalesce onto
 //!   one search; followers share the leader's published result;
 //! * [`executor`] — a fixed thread pool over a bounded queue; a full
@@ -50,11 +52,12 @@ pub mod snapshot;
 pub mod wire;
 
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
-pub use cache::PlanCache;
+pub use cache::{ModelMemo, PlanCache, ShardedLru};
 pub use executor::{Executor, QueueFull};
 pub use planner::{Plan, PlanError, PlanReply, Planner, PlannerConfig};
 pub use request::{
-    benchmark_by_name, cluster_by_name, fnv1a64, strategy_by_name, PlanRequest, SearchParams,
+    benchmark_by_name, cluster_by_name, fnv1a64, model_canon, strategy_by_name, PlanRequest,
+    SearchParams,
 };
 pub use singleflight::{Entry, Flight, SingleFlight};
 pub use snapshot::SnapshotError;

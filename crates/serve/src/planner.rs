@@ -15,8 +15,28 @@
 //!          executor.try_submit ──queue full── shed ─────▶ Err(Overloaded)
 //!               │ admitted
 //!               ▼
-//!          portfolio search ── cache insert ── publish ─▶ reply (fresh)
+//!          model memo ── portfolio search ── cache insert ── publish ─▶ reply (fresh)
 //! ```
+//!
+//! The request's canonical rendering is computed once, on arrival: the
+//! plan-cache key, the single-flight key, and (sliced with
+//! [`crate::request::model_canon`]) the model-memo key all come from
+//! it.
+//!
+//! ## Model memo
+//!
+//! Virtual time is deterministic, so the assembled model is a pure
+//! function of (cluster, program): requests that differ only in their
+//! search parameters can share one build. The [`ModelMemo`] holds up to
+//! `cache_capacity` models (LRU), keyed by FNV-1a of the canonical
+//! cluster + program rendering and verified against those bytes. Only
+//! successful builds are memoized, and no lock is held while building.
+//! Each build runs the simulator on one thread per rank and leaves the
+//! allocator's per-thread arenas at their high-water mark, so without
+//! the memo resident memory ratchets with the number of builds, not
+//! the number of distinct models. `cache_enabled = false` bypasses the
+//! memo along with the plan cache (every search builds its own model),
+//! and [`Planner::invalidate_cache`] clears both.
 //!
 //! Every path publishes to the flight before returning, so followers
 //! can never hang — a shed or failed leader sheds/fails its followers
@@ -70,6 +90,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mheta_apps::{anchor_inputs, build_model};
+use mheta_core::Mheta;
 use mheta_dist::{portfolio_search, DeltaStats, SpectrumPath, Strategy};
 use mheta_obs::json::Value;
 use mheta_obs::trace::id_hex;
@@ -78,9 +99,9 @@ use mheta_obs::{
 };
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
-use crate::cache::PlanCache;
+use crate::cache::{ModelMemo, PlanCache};
 use crate::executor::Executor;
-use crate::request::PlanRequest;
+use crate::request::{fnv1a64, model_canon, PlanRequest};
 use crate::singleflight::{Entry, SingleFlight};
 
 /// A finished distribution plan: the service's product.
@@ -172,9 +193,10 @@ pub struct PlannerConfig {
     pub queue_capacity: usize,
     /// Plan-cache lock stripes.
     pub cache_shards: usize,
-    /// Plan-cache total capacity (entries).
+    /// Plan-cache total capacity (entries); also bounds the model memo.
     pub cache_capacity: usize,
-    /// Serve repeat requests from the cache.
+    /// Serve repeat requests from the cache, and reuse assembled models
+    /// from the model memo.
     pub cache_enabled: bool,
     /// Coalesce concurrent identical requests onto one search.
     pub coalesce_enabled: bool,
@@ -254,6 +276,7 @@ struct SearchAux {
 pub struct Planner {
     cfg: PlannerConfig,
     cache: PlanCache,
+    memo: Arc<ModelMemo>,
     flights: SingleFlight<FlightOutput>,
     executor: Executor,
     breaker: CircuitBreaker,
@@ -267,6 +290,7 @@ impl Planner {
     pub fn new(cfg: PlannerConfig) -> Self {
         Planner {
             cache: PlanCache::new(cfg.cache_shards, cfg.cache_capacity),
+            memo: Arc::new(ModelMemo::new(cfg.cache_shards, cfg.cache_capacity)),
             flights: SingleFlight::new(),
             executor: Executor::new(cfg.workers, cfg.queue_capacity),
             breaker: CircuitBreaker::new(
@@ -328,7 +352,7 @@ impl Planner {
         let deadline_at = deadline.map(|d| Instant::now() + d);
         let budget_ms = deadline.map_or(0, |d| d.as_millis() as u64);
         let canon = req.canonical_json();
-        let key = crate::request::fnv1a64(canon.as_bytes());
+        let key = fnv1a64(canon.as_bytes());
         let label = req.label();
 
         if self.cfg.cache_enabled {
@@ -557,6 +581,10 @@ impl Planner {
 
         let (tx, rx) = mpsc::channel::<SearchReport>();
         let job_req = req.clone();
+        let job_memo = self
+            .cfg
+            .cache_enabled
+            .then(|| (Arc::clone(&self.memo), model_canon(canon)));
         let job_metrics = Arc::clone(&self.metrics);
         let job = move || {
             let started_ns = job_metrics.now_ns();
@@ -572,8 +600,9 @@ impl Planner {
                 return;
             }
             job_metrics.on_search_started();
+            let memo = job_memo.as_ref().map(|(m, c)| (m.as_ref(), c.as_str()));
             let result = catch_unwind(AssertUnwindSafe(|| {
-                run_search(&job_req, deadline_at, budget_ms)
+                run_search(&job_req, memo, deadline_at, budget_ms)
             }))
             .unwrap_or_else(|_| Err(PlanError::Search("search worker panicked".into())));
             let search_ns = job_metrics.now_ns().saturating_sub(started_ns);
@@ -809,9 +838,11 @@ impl Planner {
         });
     }
 
-    /// Drop every cached plan; returns how many were invalidated.
+    /// Drop every cached plan and memoized model; returns how many
+    /// plans were invalidated.
     pub fn invalidate_cache(&self) -> usize {
         let n = self.cache.invalidate_all();
+        self.memo.invalidate_all();
         self.metrics.on_cache_invalidations(n as u64);
         if let Some(r) = &self.recorder {
             r.record_kv(
@@ -871,6 +902,12 @@ impl Planner {
     #[must_use]
     pub fn cache(&self) -> &PlanCache {
         &self.cache
+    }
+
+    /// The model memo (counters and occupancy).
+    #[must_use]
+    pub fn model_memo(&self) -> &ModelMemo {
+        &self.memo
     }
 
     /// The circuit breaker (state inspection and counters).
@@ -941,6 +978,24 @@ impl Planner {
             self.cache.len() as f64,
         );
         p.counter(
+            "mheta_serve_model_memo_hits_total",
+            "Searches that reused a memoized model.",
+            &[],
+            self.memo.hits(),
+        );
+        p.counter(
+            "mheta_serve_model_memo_misses_total",
+            "Searches that built their model.",
+            &[],
+            self.memo.misses(),
+        );
+        p.gauge(
+            "mheta_serve_model_memo_entries",
+            "Models currently memoized.",
+            &[],
+            self.memo.len() as f64,
+        );
+        p.counter(
             "mheta_serve_executor_executed_total",
             "Search jobs fully executed.",
             &[],
@@ -1007,8 +1062,8 @@ impl Planner {
     }
 
     /// Full service statistics: request counters and stage latencies,
-    /// cache counters, executor admission tallies, breaker state, and
-    /// flight-recorder occupancy.
+    /// cache and model-memo counters, executor admission tallies,
+    /// breaker state, and flight-recorder occupancy.
     #[must_use]
     pub fn stats(&self) -> Value {
         let recorder = match &self.recorder {
@@ -1023,6 +1078,7 @@ impl Planner {
         Value::object(vec![
             ("service", self.metrics.snapshot()),
             ("cache", self.cache.stats()),
+            ("model_memo", self.memo.stats()),
             (
                 "executor",
                 Value::object(vec![
@@ -1040,21 +1096,42 @@ impl Planner {
     }
 }
 
-/// Build the MHETA model for the request and run the portfolio search,
+/// The request's MHETA model: from `memo` (the memo and the request's
+/// [`model_canon`]) when it holds one, else built — and memoized only
+/// if the build succeeds. No lock is held during the build.
+fn model_for(req: &PlanRequest, memo: Option<(&ModelMemo, &str)>) -> Result<Arc<Mheta>, PlanError> {
+    let build = || {
+        build_model(&req.bench, &req.spec, req.prefetch)
+            .map(Arc::new)
+            .map_err(|e| PlanError::Search(e.to_string()))
+    };
+    let Some((memo, canon)) = memo else {
+        return build();
+    };
+    let key = fnv1a64(canon.as_bytes());
+    if let Some(model) = memo.get(key, canon) {
+        return Ok(model);
+    }
+    let model = build()?;
+    memo.insert(key, canon, Arc::clone(&model));
+    Ok(model)
+}
+
+/// Get the MHETA model for the request and run the portfolio search,
 /// with the request deadline (if any) as a cooperative cancellation
 /// criterion.
 fn run_search(
     req: &PlanRequest,
+    memo: Option<(&ModelMemo, &str)>,
     deadline: Option<Instant>,
     budget_ms: u64,
 ) -> Result<(Plan, SearchAux), PlanError> {
-    let model = build_model(&req.bench, &req.spec, req.prefetch)
-        .map_err(|e| PlanError::Search(e.to_string()))?;
+    let model = model_for(req, memo)?;
     let inputs = anchor_inputs(&model);
     let path = SpectrumPath::new(&inputs);
     let mut cfg = req.search.to_portfolio();
     cfg.deadline = deadline;
-    let out = portfolio_search(&path, &model, cfg);
+    let out = portfolio_search(&path, model.as_ref(), cfg);
     if !out.best.score_ns.is_finite() {
         // The deadline fired before ANY candidate finished evaluating:
         // nothing to degrade to.

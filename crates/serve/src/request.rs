@@ -132,6 +132,23 @@ impl PlanRequest {
     }
 }
 
+/// The model-identity part of a canonical request rendering: `canon`
+/// ([`PlanRequest::canonical_json`]) without its trailing `search`
+/// section, i.e. the canonical JSON of `{cluster, program}`. The
+/// assembled model depends on exactly these inputs, so this is the
+/// model memo's key input. Slicing the request's rendering instead of
+/// rendering the cluster and program again keeps the key render at
+/// once per request. (`,"search":` cannot occur inside a JSON string —
+/// its quote would be escaped — so the last match is the top-level
+/// field.)
+#[must_use]
+pub fn model_canon(canon: &str) -> String {
+    let end = canon
+        .rfind(",\"search\":")
+        .expect("a canonical request rendering ends with its search section");
+    format!("{}}}", &canon[..end])
+}
+
 /// 64-bit FNV-1a.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -239,6 +256,27 @@ mod tests {
 
         let r = PlanRequest::new(Benchmark::Cg(Cg::small()), presets::dc());
         assert_ne!(r.key(), base, "program change must rekey");
+    }
+
+    #[test]
+    fn model_canon_is_the_cluster_and_program_rendering() {
+        let r = req();
+        let want = Value::object(vec![
+            ("cluster", r.spec.to_value()),
+            ("program", r.bench.structure(r.prefetch).to_value()),
+        ])
+        .to_json();
+        assert_eq!(model_canon(&r.canonical_json()), want);
+
+        // The search section never reaches the model identity…
+        let mut other = r.clone();
+        other.search.seed ^= 1;
+        other.search.max_evals_per_strategy += 1;
+        assert_eq!(model_canon(&other.canonical_json()), want);
+        // …but the program variant does.
+        let mut other = r.clone();
+        other.prefetch = true;
+        assert_ne!(model_canon(&other.canonical_json()), want);
     }
 
     #[test]

@@ -42,6 +42,15 @@
 //! toward shutdown. Every shed also logs a structured event to stderr
 //! — sheds are never silent.
 //!
+//! ## Replies
+//!
+//! Each reply — the JSON and its newline — goes out in one `write_all`
+//! on a `TCP_NODELAY` socket. Written as two pieces, the lone newline
+//! is a small segment that Nagle holds until the client acknowledges
+//! the first piece, and a client that delays its ACKs does so for about
+//! 40 ms: a cache hit that takes microseconds in process would cost
+//! 40 ms on the wire.
+//!
 //! ## Lifecycle
 //!
 //! [`serve_with`] runs until [`Lifecycle::begin_drain`] fires (the
@@ -276,10 +285,12 @@ pub fn bad_request_response(msg: &str) -> Value {
 /// shed kind, the request key hash, the queue depth at shed time, and
 /// the backoff the client was told. Sheds must be diagnosable from the
 /// daemon log alone — dropping them silently hides capacity incidents.
+/// The key is rendered here, on the shed path only, so that served
+/// requests render it once (in the planner).
 fn log_shed(
     planner: &Planner,
     kind: &str,
-    reply_key: u64,
+    req: &PlanRequest,
     ctx: &TraceContext,
     retry_after_ms: u64,
 ) {
@@ -287,7 +298,7 @@ fn log_shed(
         ("event", Value::Str("request.shed".into())),
         ("kind", Value::Str(kind.to_string())),
         ("trace_id", Value::Str(ctx.trace_hex())),
-        ("key", Value::Str(id_hex(reply_key))),
+        ("key", Value::Str(id_hex(req.key()))),
         ("queue_depth", Value::UInt(planner.queue_depth() as u64)),
         ("retry_after_ms", Value::UInt(retry_after_ms)),
     ]);
@@ -343,17 +354,16 @@ pub fn handle(planner: &Planner, op: &WireOp) -> (Value, bool) {
                 Some(t) => t.child(),
                 None => TraceContext::root(),
             };
-            let key = crate::request::fnv1a64(req.canonical_json().as_bytes());
             let deadline = deadline_ms.map(Duration::from_millis);
             let resp = match planner.plan_opts(req, ctx, deadline) {
                 Ok(reply) => plan_response(&reply),
                 Err(e) => {
                     match &e {
                         PlanError::Overloaded { retry_after_ms } => {
-                            log_shed(planner, "overloaded", key, &ctx, *retry_after_ms);
+                            log_shed(planner, "overloaded", req, &ctx, *retry_after_ms);
                         }
                         PlanError::CircuitOpen { retry_after_ms } => {
-                            log_shed(planner, "circuit_open", key, &ctx, *retry_after_ms);
+                            log_shed(planner, "circuit_open", req, &ctx, *retry_after_ms);
                         }
                         _ => {}
                     }
@@ -503,7 +513,10 @@ fn handle_connection(
             Ok(op) => handle(planner, &op),
             Err(msg) => (bad_request_response(&msg), false),
         };
-        if writeln!(writer, "{}", response.to_json()).is_err() || writer.flush().is_err() {
+        // One write per reply, newline included (see "Replies" above).
+        let mut reply = response.to_json();
+        reply.push('\n');
+        if writer.write_all(reply.as_bytes()).is_err() {
             return;
         }
         if stop {
@@ -572,6 +585,9 @@ pub fn serve_with(
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nonblocking(false);
+                // Replies are single complete writes: never hold one
+                // back waiting for an ACK.
+                let _ = stream.set_nodelay(true);
                 if cfg.read_timeout_ms > 0 {
                     let _ =
                         stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms)));

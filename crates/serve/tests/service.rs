@@ -471,3 +471,126 @@ fn coalesced_followers_link_to_the_leader_trace() {
     assert_eq!(flows_out, 1, "one flow start at the leader");
     assert_eq!(flows_in, followers.len(), "one flow finish per follower");
 }
+
+/// A memo-on planner and an independent cache-off planner (which also
+/// bypasses the memo) must produce bitwise-identical plans.
+fn assert_same_plan(memo: &mheta_serve::Plan, cold: &mheta_serve::Plan, what: &str) {
+    assert_eq!(memo.rows, cold.rows, "{what}: rows");
+    assert_eq!(memo.winner, cold.winner, "{what}: winner");
+    assert_eq!(memo.total_evals, cold.total_evals, "{what}: total_evals");
+    assert_eq!(
+        memo.predicted_ns.to_bits(),
+        cold.predicted_ns.to_bits(),
+        "{what}: predicted_ns"
+    );
+}
+
+fn request(app: &str, arch: &str, prefetch: bool, seed: u64) -> PlanRequest {
+    PlanRequest {
+        bench: benchmark_by_name(app, "small").unwrap(),
+        prefetch,
+        spec: mheta_serve::cluster_by_name(arch).unwrap(),
+        search: SearchParams {
+            seed,
+            max_evals_per_strategy: 24,
+            ..SearchParams::default()
+        },
+    }
+}
+
+#[test]
+fn plans_from_memoized_models_match_a_cold_planner_bitwise() {
+    let memo = Planner::new(PlannerConfig::default());
+    let cold = Planner::new(PlannerConfig {
+        cache_enabled: false,
+        coalesce_enabled: false,
+        ..PlannerConfig::default()
+    });
+    let pairs = [
+        ("jacobi", "DC", false),
+        ("cg", "IO", false),
+        ("lanczos", "HY1", false),
+        ("jacobi", "HY2", true),
+    ];
+    for (i, &(app, arch, prefetch)) in pairs.iter().enumerate() {
+        // Prime the memo with a third seed so both compared plans
+        // search over a memoized model.
+        memo.plan(&request(app, arch, prefetch, 99)).unwrap();
+        for seed in [3, 8] {
+            let req = request(app, arch, prefetch, seed);
+            let got = memo.plan(&req).unwrap();
+            assert_eq!(got.source.name(), "fresh");
+            let want = cold.plan(&req).unwrap();
+            assert_same_plan(&got.plan, &want.plan, &format!("{app}@{arch} seed {seed}"));
+        }
+        assert_eq!(memo.model_memo().hits(), 2 * (i as u64 + 1));
+        assert_eq!(memo.model_memo().misses(), i as u64 + 1);
+    }
+    assert_eq!(memo.model_memo().len(), pairs.len());
+}
+
+#[test]
+fn requests_differing_only_in_seed_share_one_model_build() {
+    let planner = Planner::new(PlannerConfig::default());
+    let a = planner.plan(&small_request(1)).unwrap();
+    let b = planner.plan(&small_request(2)).unwrap();
+    assert_eq!((a.source.name(), b.source.name()), ("fresh", "fresh"));
+    assert_ne!(a.key, b.key, "distinct plan-cache keys");
+    assert_eq!(planner.metrics().searches(), 2);
+    assert_eq!(planner.model_memo().hits(), 1);
+    assert_eq!(planner.model_memo().misses(), 1);
+    assert_eq!(planner.model_memo().len(), 1);
+
+    // The `stats` op and the Prometheus exposition both report it.
+    let memo = planner.stats().get("model_memo").unwrap().clone();
+    assert_eq!(memo.get("hits").unwrap().as_u64(), Some(1));
+    assert_eq!(memo.get("misses").unwrap().as_u64(), Some(1));
+    assert_eq!(memo.get("entries").unwrap().as_u64(), Some(1));
+    assert_eq!(memo.get("capacity").unwrap().as_u64(), Some(256));
+    let text = planner.prometheus();
+    assert!(text.contains("mheta_serve_model_memo_hits_total 1\n"));
+    assert!(text.contains("mheta_serve_model_memo_misses_total 1\n"));
+    assert!(text.contains("mheta_serve_model_memo_entries 1\n"));
+}
+
+#[test]
+fn invalidation_empties_the_model_memo() {
+    let planner = Planner::new(PlannerConfig::default());
+    planner.plan(&small_request(1)).unwrap();
+    assert_eq!(planner.model_memo().len(), 1);
+    assert_eq!(planner.invalidate_cache(), 1);
+    assert!(planner.model_memo().is_empty());
+    planner.plan(&small_request(2)).unwrap();
+    assert_eq!(planner.model_memo().hits(), 0, "the model was rebuilt");
+    assert_eq!(planner.model_memo().misses(), 2);
+}
+
+#[test]
+fn cache_off_planner_never_consults_the_memo() {
+    let planner = Planner::new(PlannerConfig {
+        cache_enabled: false,
+        ..PlannerConfig::default()
+    });
+    for seed in [1, 1, 2] {
+        planner.plan(&small_request(seed)).unwrap();
+    }
+    assert_eq!(planner.metrics().searches(), 3);
+    let memo = planner.model_memo();
+    assert_eq!((memo.hits(), memo.misses(), memo.len()), (0, 0, 0));
+}
+
+#[test]
+fn failed_model_builds_are_not_memoized() {
+    let planner = Planner::new(PlannerConfig::default());
+    planner.plan(&small_request(1)).unwrap();
+    // Negative CPU power fails cluster validation inside the build.
+    let mut doomed = small_request(1);
+    doomed.spec.nodes[0].cpu_power = -1.0;
+    for _ in 0..2 {
+        assert!(matches!(planner.plan(&doomed), Err(PlanError::Search(_))));
+    }
+    let memo = planner.model_memo();
+    assert_eq!(memo.len(), 1, "only the good model is held");
+    assert_eq!(memo.hits(), 0, "the failed build was never served");
+    assert_eq!(memo.misses(), 3);
+}
