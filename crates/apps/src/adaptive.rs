@@ -1,20 +1,59 @@
-//! Adaptive drivers: mid-run GEN_BLOCK rebalancing on top of the
-//! phi-accrual failure detector and the online re-search policy.
+//! Adaptive drivers: checkpoint/restart crash recovery and mid-run
+//! GEN_BLOCK rebalancing on top of the phi-accrual failure detector and
+//! the online re-search policy.
 //!
-//! The crash-resilient driver ([`crate::resilient`]) answers "a rank
-//! died"; this module answers the harder questions of "a rank slowed
-//! down" and "a rank came back". Each iteration every member appends a
-//! **progress report** — its per-row sweep compute time, which is
-//! invariant under GEN_BLOCK rebalancing (rows move, per-row speed does
-//! not) — to a fault-tolerant max-allreduce, so all members see the
-//! identical sample vector. Every member feeds that vector into an
-//! identical [`PhiAccrualDetector`] replica and, when the detector
-//! confirms a `Degraded` or `Rejoined` transition (or the observed
-//! drift passes the policy gate), runs the identical budget-capped
-//! [`OnlinePolicy::replan`]. Deterministic replicas reach identical
-//! decisions, so a rebalance commits **without any extra agreement
-//! round**: the members simply execute the same transfer plan at the
-//! same iteration boundary, under a bumped redistribution epoch.
+//! [`AdaptiveJacobi`] runs the in-core stencil of [`crate::jacobi`] and
+//! tolerates crash-stop rank failures:
+//!
+//! 1. **Checkpoint** — every `K` iterations (including iteration 0)
+//!    each rank writes its local block to a versioned checkpoint file
+//!    ([`VAR_CKPT`], a real `file_write` at disk cost) and deposits the
+//!    blob in a host-side reliable store standing in for a parallel
+//!    checkpoint filesystem that survives node loss.
+//! 2. **Detect + agree** — halo receives and the residual reduction use
+//!    the fault-tolerant collectives, so a dead peer resolves as a
+//!    typed observation instead of a hang; an extra
+//!    [`mheta_mpi::agree_mask`] round at every iteration boundary ORs
+//!    all observations over the binomial tree so survivors converge on
+//!    the dead-set.
+//! 3. **Rollback** — survivors restore their block from the newest
+//!    checkpoint no later than any dead rank's last one (a crash
+//!    between a checkpoint and its detection can leave the crasher one
+//!    interval behind).
+//! 4. **Redistribute** — the dead rank's rows are re-spread over the
+//!    survivors with [`mheta_dist::transfer_plan_rows`]: survivor
+//!    blocks travel as messages, the dead rank's block is fetched from
+//!    reliable checkpoint storage at local-disk cost ([`VAR_FETCH`]).
+//! 5. **Re-predict** — the leader charges the cost of re-running the
+//!    MHETA predictor on the shrunken cluster; the host-side model
+//!    rebuild lives in [`crate::harness::repredict_after_crash`].
+//!
+//! Replayed iterations recompute bit-identical values, so the final
+//! residual matches a crash-free run. Halo tags carry a recovery epoch:
+//! a rank that aborted an exchange early may leave a live neighbor's
+//! message undelivered, and the epoch bump orphans such stale messages
+//! instead of letting a replayed receive consume them.
+//!
+//! With [`AdaptiveConfig::detector`] set, the driver also answers "a
+//! rank slowed down" and "a rank came back". Each iteration every
+//! member appends a **progress report** — its per-row sweep compute
+//! time, which is invariant under GEN_BLOCK rebalancing (rows move,
+//! per-row speed does not) — to a fault-tolerant max-allreduce, so all
+//! members see the identical sample vector. Every member feeds that
+//! vector into an identical [`PhiAccrualDetector`] replica and, when
+//! the detector confirms a `Degraded` or `Rejoined` transition (or the
+//! observed drift passes the policy gate), runs the identical
+//! budget-capped [`OnlinePolicy::replan`]. Deterministic replicas reach
+//! identical decisions, so a rebalance commits **without any extra
+//! agreement round**: the members simply execute the same transfer plan
+//! at the same iteration boundary, under a bumped redistribution epoch.
+//! A rebalance moves *live* state and needs no rollback, while a crash
+//! loses state and does. The two compose: the detector marks
+//! agreed-dead members (disambiguating "slow" from "gone"), and
+//! post-crash redistribution apportions by slowdown-corrected effective
+//! weights instead of nominal CPU powers. With the detector off
+//! (`None`) the driver is crash-only: no progress reports, no
+//! rebalancing, and post-crash rows follow the nominal weights.
 //!
 //! The layout is a raw per-rank row vector rather than a [`GenBlock`],
 //! because adaptivity needs **zero-row members**: a hot spare starts
@@ -23,26 +62,35 @@
 //! a share. Members with zero rows skip the halo exchange and sweep
 //! entirely but keep participating in the collectives.
 //!
-//! Crash-stop failures still take the checkpoint/rollback path of the
-//! resilient driver — a rebalance moves *live* state and needs no
-//! rollback, while a crash loses state and does. The two compose: the
-//! detector marks agreed-dead members (disambiguating "slow" from
-//! "gone"), and post-crash redistribution apportions by
-//! slowdown-corrected effective weights instead of nominal CPU powers.
+//! Scope: one crash per iteration converges deterministically;
+//! staggered crashes in different iterations are fully supported. A
+//! crash landing inside the agreement round itself, or a crash during
+//! another rank's recovery, can leave survivor views divergent and
+//! surfaces as a typed error rather than a silent hang.
+
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use mheta_dist::{rows_moved, transfer_plan_rows, GenBlock, OnlinePolicy};
 use mheta_mpi::{
     agree_mask, allreduce, barrier, ft_allreduce_among, Comm, DetectorConfig, HealthState,
     PhiAccrualDetector, Recorder, ReduceOp, SuspicionSample, Transition,
 };
-use mheta_sim::{RecoveryKind, RecoverySpan, SimError, SimResult};
+use mheta_sim::{RecoveryKind, RecoverySpan, SimError, SimResult, VarId};
 
 use crate::app::{rank_plans, RankResult};
 use crate::cg::{Cg, VAR_A};
 use crate::jacobi::{Jacobi, VAR_U};
-use crate::resilient::{
-    dead_block, Checkpoint, CheckpointStore, REPREDICTION_WORK_UNITS, VAR_CKPT, VAR_FETCH,
-};
+
+/// Variable ID of the versioned checkpoint file.
+pub const VAR_CKPT: VarId = 0x71;
+/// Variable ID of the scratch file used to charge the disk cost of
+/// fetching a dead rank's block from reliable checkpoint storage.
+pub const VAR_FETCH: VarId = 0x72;
+
+/// Application work units the leader charges for re-running the MHETA
+/// predictor on the shrunken cluster after a crash.
+pub const REPREDICTION_WORK_UNITS: f64 = 2_000.0;
 
 const TAG_BASE: u32 = 0x100;
 
@@ -56,6 +104,33 @@ fn tag_redist(epoch: u32) -> u32 {
     TAG_BASE + 4 * epoch + 2
 }
 
+/// One rank's checkpoint: enough to restart the iteration it was taken
+/// at, including the full cluster layout of that moment (rollback after
+/// a later recovery must restore the layout too).
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    /// Iteration the checkpoint was taken at (state *before* the
+    /// iteration's sweep).
+    pub iteration: u32,
+    /// Per-rank row layout at checkpoint time (zero rows = dead).
+    pub layout: Vec<usize>,
+    /// The rank's local block, row-major.
+    pub data: Vec<f64>,
+}
+
+/// Reliable checkpoint storage shared by all ranks, keyed by rank with
+/// the full version history (survivors may need a checkpoint older than
+/// their latest). Stands in for a parallel filesystem that survives
+/// node loss; the virtual-time cost of touching it is charged through
+/// [`VAR_CKPT`]/[`VAR_FETCH`] disk operations.
+pub type CheckpointStore = Arc<Mutex<HashMap<usize, Vec<Checkpoint>>>>;
+
+/// A fresh, empty checkpoint store.
+#[must_use]
+pub fn new_checkpoint_store() -> CheckpointStore {
+    Arc::new(Mutex::new(HashMap::new()))
+}
+
 /// Application work units each member charges per evaluation-function
 /// call of a replan — the "milliseconds, not minutes" cost that makes
 /// online re-search affordable in the first place.
@@ -64,8 +139,9 @@ pub const REPLAN_WORK_UNITS_PER_EVAL: f64 = 25.0;
 /// Everything configurable about the adaptive loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptiveConfig {
-    /// Phi-accrual detector thresholds.
-    pub detector: DetectorConfig,
+    /// Phi-accrual detector thresholds; `None` runs crash recovery
+    /// only, without progress reports or rebalancing.
+    pub detector: Option<DetectorConfig>,
     /// Online re-search policy (drift gate, eval budget, hysteresis).
     pub policy: OnlinePolicy,
     /// Checkpoint interval `K` (clamped to at least 1).
@@ -75,7 +151,7 @@ pub struct AdaptiveConfig {
 impl Default for AdaptiveConfig {
     fn default() -> Self {
         AdaptiveConfig {
-            detector: DetectorConfig::default(),
+            detector: Some(DetectorConfig::default()),
             policy: OnlinePolicy::default(),
             checkpoint_interval: 4,
         }
@@ -114,6 +190,10 @@ pub struct AdaptiveOutcome {
     pub spans: Vec<RecoverySpan>,
     /// Every rank this rank knows died, sorted.
     pub dead: Vec<usize>,
+    /// The last rollback target, if any recovery happened.
+    pub rollback_iteration: Option<u32>,
+    /// Virtual time the last recovery finished (0 when none happened).
+    pub resume_ns: u64,
     /// Every committed mid-run rebalance, in order.
     pub rebalances: Vec<RebalanceEvent>,
     /// The detector replica's state-machine transitions.
@@ -241,9 +321,10 @@ fn consider_rebalance<R: Recorder>(
     Some((new_layout, replan.gain(), replan.evals))
 }
 
-/// The adaptive wrapper around [`Jacobi`]: everything
-/// [`crate::resilient::ResilientJacobi`] does, plus slowdown detection,
-/// mid-run rebalancing, node rejoin, and hot-spare enlistment.
+/// The crash-recovering, adaptive wrapper around [`Jacobi`]:
+/// checkpoint/restart with survivor redistribution and, when the
+/// detector is on, slowdown detection, mid-run rebalancing, node
+/// rejoin, and hot-spare enlistment.
 #[derive(Debug, Clone)]
 pub struct AdaptiveJacobi {
     /// The underlying stencil application.
@@ -260,8 +341,9 @@ impl AdaptiveJacobi {
     /// (the healthy baseline the effective weights correct); `store` is
     /// the shared reliable checkpoint storage.
     ///
-    /// A scheduled crash of this rank is absorbed into a dead
-    /// [`AdaptiveOutcome`], exactly like the resilient driver.
+    /// A scheduled crash of this rank is absorbed: the rank returns a
+    /// dead [`AdaptiveOutcome`] instead of an error, so cluster-wide
+    /// runs complete normally.
     pub fn run<R: Recorder>(
         &self,
         comm: &mut Comm<'_, R>,
@@ -284,6 +366,8 @@ impl AdaptiveJacobi {
                 alive: false,
                 spans: scratch.spans,
                 dead: vec![comm.rank()],
+                rollback_iteration: None,
+                resume_ns: 0,
                 rebalances: Vec::new(),
                 transitions: Vec::new(),
                 suspicion: Vec::new(),
@@ -333,8 +417,10 @@ impl AdaptiveJacobi {
         let mut members: Vec<usize> = (0..n).collect();
         let mut known_dead: Vec<usize> = Vec::new();
         let mut epoch: u32 = 0;
+        let mut rollback_iteration: Option<u32> = None;
+        let mut resume_ns: u64 = 0;
 
-        let mut det = PhiAccrualDetector::new(n, self.cfg.detector);
+        let mut det = self.cfg.detector.map(|c| PhiAccrualDetector::new(n, c));
         let mut latest_prow = vec![0.0f64; n];
         let mut rebalances: Vec<RebalanceEvent> = Vec::new();
         let mut last_adapt_it: Option<u32> = None;
@@ -480,10 +566,12 @@ impl AdaptiveJacobi {
             // Progress reports: each member fills its own slot with its
             // per-row sweep time; max-allreduce merges the vectors.
             let mut hb = vec![0.0f64; n];
-            if m > 0 && observed == 0 {
-                hb[rank] = sweep_ns as f64 / m as f64;
+            if det.is_some() {
+                if m > 0 && observed == 0 {
+                    hb[rank] = sweep_ns as f64 / m as f64;
+                }
+                observed |= ft_allreduce_among(comm, &members, ReduceOp::Max, &mut hb)?;
             }
-            observed |= ft_allreduce_among(comm, &members, ReduceOp::Max, &mut hb)?;
             let agreed = agree_mask(comm, &members, observed)?;
             comm.end_section(2);
             comm.end_iteration(it);
@@ -497,8 +585,10 @@ impl AdaptiveJacobi {
                     .collect();
                 if !newly_dead.is_empty() {
                     // ---- crash-stop disambiguated: missed heartbeat -
-                    for d in &newly_dead {
-                        det.mark_dead(*d, it, now);
+                    if let Some(det) = &mut det {
+                        for d in &newly_dead {
+                            det.mark_dead(*d, it, now);
+                        }
                     }
                     // ---- rollback ----------------------------------
                     let rb_start = now;
@@ -543,6 +633,7 @@ impl AdaptiveJacobi {
                         comm.file_read(VAR_CKPT, 0, &mut u)?;
                     }
                     it = target;
+                    rollback_iteration = Some(target);
                     let rb_end = comm.ctx_ref().now().as_nanos();
                     scratch.spans.push(RecoverySpan {
                         start_ns: rb_start,
@@ -554,11 +645,12 @@ impl AdaptiveJacobi {
                     // Apportion over the survivors with each weight
                     // corrected by the detector's slowdown estimate, so
                     // a degraded survivor is not handed a healthy
-                    // node's share. Spares get >= 1 row: crash recovery
+                    // node's share (nominal weights with the detector
+                    // off). Spares get >= 1 row: crash recovery
                     // enlists them automatically.
                     let survivor_weights: Vec<f64> = members
                         .iter()
-                        .map(|&r| weights[r] / det.slow_ratio(r))
+                        .map(|&r| weights[r] / det.as_ref().map_or(1.0, |d| d.slow_ratio(r)))
                         .collect();
                     let gb = GenBlock::apportion(total_rows, &survivor_weights);
                     let mut new_layout = vec![0usize; n];
@@ -586,77 +678,91 @@ impl AdaptiveJacobi {
                     });
 
                     // ---- re-prediction ------------------------------
+                    // The leader re-runs the MHETA predictor for the
+                    // shrunken cluster; everyone synchronizes on it.
                     if rank == members[0] {
                         comm.compute(REPREDICTION_WORK_UNITS, u64::MAX);
                     }
                     pending_observed |=
                         ft_allreduce_among(comm, &members, ReduceOp::Sum, &mut [0.0])?;
-                    let rp_end = comm.ctx_ref().now().as_nanos();
+                    resume_ns = comm.ctx_ref().now().as_nanos();
                     scratch.spans.push(RecoverySpan {
                         start_ns: rd_end,
-                        end_ns: rp_end,
+                        end_ns: resume_ns,
                         kind: RecoveryKind::Reprediction,
                     });
                     epoch += 1;
                     // Shares changed: healthy baselines are stale.
-                    det.reset_baselines();
+                    if let Some(det) = &mut det {
+                        det.reset_baselines();
+                    }
                     last_adapt_it = Some(it);
                     continue;
                 }
             }
 
             // ---- crash-free boundary: feed the detector replica -----
-            let transitions = det.observe(it, now, &hb);
-            for (r, &p) in hb.iter().enumerate() {
-                if p > 0.0 {
-                    latest_prow[r] = p;
+            if let Some(det) = &mut det {
+                let transitions = det.observe(it, now, &hb);
+                for (r, &p) in hb.iter().enumerate() {
+                    if p > 0.0 {
+                        latest_prow[r] = p;
+                    }
                 }
-            }
-            let confirm_now = transitions
-                .iter()
-                .any(|t| matches!(t.to, HealthState::Degraded | HealthState::Rejoined));
-            if let Some((new_layout, gain, evals)) = consider_rebalance(
-                comm,
-                &self.cfg,
-                &det,
-                &members,
-                &layout,
-                weights,
-                &latest_prow,
-                confirm_now,
-                &mut last_adapt_it,
-                it,
-            ) {
-                let rb_start = comm.ctx_ref().now().as_nanos();
-                self.apply_transfers(comm, &layout, &new_layout, &mut u, epoch, None)?;
-                let moved = rows_moved(&transfer_plan_rows(&layout, &new_layout));
-                rebalances.push(RebalanceEvent {
-                    iteration: it,
-                    at_ns: rb_start,
-                    from_rows: layout.clone(),
-                    to_rows: new_layout.clone(),
-                    rows_moved: moved,
-                    predicted_gain: gain,
-                    evals,
-                });
-                layout = new_layout;
-                if !u.is_empty() {
-                    first_row = u[..cols].to_vec();
-                    last_row = u[u.len() - cols..].to_vec();
+                let confirm_now = transitions
+                    .iter()
+                    .any(|t| matches!(t.to, HealthState::Degraded | HealthState::Rejoined));
+                if let Some((new_layout, gain, evals)) = consider_rebalance(
+                    comm,
+                    &self.cfg,
+                    det,
+                    &members,
+                    &layout,
+                    weights,
+                    &latest_prow,
+                    confirm_now,
+                    &mut last_adapt_it,
+                    it,
+                ) {
+                    let rb_start = comm.ctx_ref().now().as_nanos();
+                    self.apply_transfers(comm, &layout, &new_layout, &mut u, epoch, None)?;
+                    let moved = rows_moved(&transfer_plan_rows(&layout, &new_layout));
+                    rebalances.push(RebalanceEvent {
+                        iteration: it,
+                        at_ns: rb_start,
+                        from_rows: layout.clone(),
+                        to_rows: new_layout.clone(),
+                        rows_moved: moved,
+                        predicted_gain: gain,
+                        evals,
+                    });
+                    layout = new_layout;
+                    if !u.is_empty() {
+                        first_row = u[..cols].to_vec();
+                        last_row = u[u.len() - cols..].to_vec();
+                    }
+                    scratch.spans.push(RecoverySpan {
+                        start_ns: rb_start,
+                        end_ns: comm.ctx_ref().now().as_nanos(),
+                        kind: RecoveryKind::Rebalance,
+                    });
+                    epoch += 1;
+                    det.reset_baselines();
                 }
-                scratch.spans.push(RecoverySpan {
-                    start_ns: rb_start,
-                    end_ns: comm.ctx_ref().now().as_nanos(),
-                    kind: RecoveryKind::Rebalance,
-                });
-                epoch += 1;
-                det.reset_baselines();
             }
 
             residual = acc[0];
             it += 1;
         }
 
+        let (transitions, suspicion, detection_latencies_ns) =
+            det.map_or_else(Default::default, |d| {
+                (
+                    d.transitions().to_vec(),
+                    d.timeline().to_vec(),
+                    d.detection_latencies_ns().to_vec(),
+                )
+            });
         Ok(AdaptiveOutcome {
             result: RankResult {
                 t0_ns: t0,
@@ -666,10 +772,12 @@ impl AdaptiveJacobi {
             alive: true,
             spans: std::mem::take(&mut scratch.spans),
             dead: known_dead,
+            rollback_iteration,
+            resume_ns,
             rebalances,
-            transitions: det.transitions().to_vec(),
-            suspicion: det.timeline().to_vec(),
-            detection_latencies_ns: det.detection_latencies_ns().to_vec(),
+            transitions,
+            suspicion,
+            detection_latencies_ns,
             final_rows: layout,
         })
     }
@@ -731,6 +839,38 @@ impl AdaptiveJacobi {
     }
 }
 
+/// A dead rank's full block at the rollback target, from reliable
+/// checkpoint storage — or synthesized from the deterministic
+/// initializer when the rank died before its first checkpoint (only
+/// possible at target 0, where the checkpoint state *is* the initial
+/// state).
+fn dead_block(
+    store: &CheckpointStore,
+    app: &Jacobi,
+    dead: usize,
+    target: u32,
+    layout_old: &[usize],
+    cols: usize,
+) -> Vec<f64> {
+    let guard = store.lock().expect("checkpoint store");
+    if let Some(c) = guard
+        .get(&dead)
+        .and_then(|h| h.iter().rev().find(|c| c.iteration == target))
+    {
+        return c.data.clone();
+    }
+    debug_assert_eq!(
+        target, 0,
+        "missing checkpoint must mean pre-first-checkpoint"
+    );
+    let off: usize = layout_old[..dead].iter().sum();
+    let mut data = Vec::with_capacity(layout_old[dead] * cols);
+    for r in 0..layout_old[dead] {
+        data.extend(app.initial_row(off + r, cols));
+    }
+    data
+}
+
 /// The adaptive wrapper around [`Cg`]: slowdown detection, mid-run
 /// rebalancing, and rejoin for the reduction-only benchmark. Crash-stop
 /// recovery is [`AdaptiveJacobi`]'s job — CG here demonstrates that the
@@ -745,13 +885,14 @@ pub struct AdaptiveCg {
     /// The underlying CG application.
     pub app: Cg,
     /// Detector and policy tunables (the checkpoint interval is unused:
-    /// this driver does not checkpoint).
+    /// this driver does not checkpoint). The detector is required.
     pub cfg: AdaptiveConfig,
 }
 
 impl AdaptiveCg {
     /// Run the adaptive CG driver on one rank. `layout0` may contain
-    /// zero-row idle spares; `weights` are nominal CPU powers.
+    /// zero-row idle spares; `weights` are nominal CPU powers. A config
+    /// without a detector is an [`SimError::InvalidConfig`].
     #[allow(clippy::too_many_lines)]
     pub fn run<R: Recorder>(
         &self,
@@ -763,6 +904,11 @@ impl AdaptiveCg {
         let rank = comm.rank();
         let nr = comm.size();
         let n = self.app.n;
+        let Some(detector) = self.cfg.detector else {
+            return Err(SimError::InvalidConfig(
+                "adaptive cg needs a detector".into(),
+            ));
+        };
         if layout0.len() != nr || weights.len() != nr {
             return Err(SimError::InvalidConfig(format!(
                 "adaptive cg got layout of {} and {} weights for {nr} ranks",
@@ -778,7 +924,7 @@ impl AdaptiveCg {
         }
         let members: Vec<usize> = (0..nr).collect();
         let mut layout = layout0.to_vec();
-        let mut det = PhiAccrualDetector::new(nr, self.cfg.detector);
+        let mut det = PhiAccrualDetector::new(nr, detector);
         let mut latest_prow = vec![0.0f64; nr];
         let mut rebalances: Vec<RebalanceEvent> = Vec::new();
         let mut last_adapt_it: Option<u32> = None;
@@ -967,6 +1113,8 @@ impl AdaptiveCg {
             alive: true,
             spans,
             dead: Vec::new(),
+            rollback_iteration: None,
+            resume_ns: 0,
             rebalances,
             transitions: det.transitions().to_vec(),
             suspicion: det.timeline().to_vec(),
@@ -1039,7 +1187,6 @@ impl AdaptiveCg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resilient::new_checkpoint_store;
     use mheta_mpi::{run_app, ExecMode, NullRecorder, RunOptions};
     use mheta_sim::{ClusterSpec, CrashSpec, DegradeSpec, RecoverSpec};
 
@@ -1049,10 +1196,15 @@ mod tests {
         s
     }
 
-    fn run_adaptive_raw(spec: &ClusterSpec, layout0: &[usize], iters: u32) -> Vec<AdaptiveOutcome> {
+    fn run_raw(
+        spec: &ClusterSpec,
+        layout0: &[usize],
+        iters: u32,
+        cfg: AdaptiveConfig,
+    ) -> Vec<AdaptiveOutcome> {
         let driver = AdaptiveJacobi {
             app: Jacobi::small(),
-            cfg: AdaptiveConfig::default(),
+            cfg,
         };
         let weights: Vec<f64> = spec.nodes.iter().map(|nd| nd.cpu_power).collect();
         let store = new_checkpoint_store();
@@ -1069,34 +1221,100 @@ mod tests {
         .results
     }
 
-    fn resilient_residual(n: usize, iters: u32) -> f64 {
-        use crate::resilient::ResilientJacobi;
-        let spec = quiet(n);
+    fn run_adaptive_raw(spec: &ClusterSpec, layout0: &[usize], iters: u32) -> Vec<AdaptiveOutcome> {
+        run_raw(spec, layout0, iters, AdaptiveConfig::default())
+    }
+
+    /// The crash-only driver (detector off) under the block layout.
+    fn crash_only(spec: &ClusterSpec, iters: u32, interval: u32) -> Vec<AdaptiveOutcome> {
+        let layout0 = GenBlock::block(Jacobi::small().rows, spec.len());
+        let cfg = AdaptiveConfig {
+            detector: None,
+            checkpoint_interval: interval,
+            ..AdaptiveConfig::default()
+        };
+        run_raw(spec, layout0.rows(), iters, cfg)
+    }
+
+    fn crash_only_residual(n: usize, iters: u32) -> f64 {
+        crash_only(&quiet(n), iters, 4)[0].result.check
+    }
+
+    #[test]
+    fn crash_only_matches_plain_jacobi_without_crashes() {
+        let spec = quiet(4);
+        let outcomes = crash_only(&spec, 6, 3);
+        // Same residual as the plain driver: replay-free run computes
+        // the identical value sequence.
         let app = Jacobi::small();
-        let dist = GenBlock::block(app.rows, n);
-        let weights: Vec<f64> = spec.nodes.iter().map(|nd| nd.cpu_power).collect();
-        let store = new_checkpoint_store();
-        let driver = ResilientJacobi { app };
-        run_app(
+        let dist = GenBlock::block(app.rows, 4);
+        let plain = run_app(
             &spec,
             RunOptions {
                 tracing: false,
                 mode: ExecMode::Normal,
             },
             |_| NullRecorder,
-            |comm| driver.run(comm, &dist, iters, 4, &weights, &store),
+            |comm| app.run(comm, &dist, 6, false),
         )
         .unwrap()
-        .results[0]
-            .result
-            .check
+        .results;
+        for o in &outcomes {
+            assert!(o.alive);
+            assert_eq!(o.result.check, plain[0].check);
+            assert!(o.rollback_iteration.is_none());
+            assert!(o.spans.iter().all(|s| s.kind == RecoveryKind::Checkpoint));
+            assert!(o.transitions.is_empty() && o.suspicion.is_empty());
+        }
+    }
+
+    #[test]
+    fn crash_only_recovery_spans_are_nonzero() {
+        let mut spec = quiet(4);
+        spec.faults.crashes = vec![CrashSpec::at_iteration(2, 5)];
+        spec.faults.checkpoint_interval = 3;
+        let outcomes = crash_only(&spec, 8, 3);
+        assert!(!outcomes[2].alive);
+        for o in outcomes.iter().filter(|o| o.alive) {
+            assert_eq!(o.rollback_iteration, Some(3));
+            for kind in [
+                RecoveryKind::Rollback,
+                RecoveryKind::Redistribution,
+                RecoveryKind::Reprediction,
+            ] {
+                assert!(
+                    o.spans.iter().any(|s| s.kind == kind && s.len_ns() > 0),
+                    "missing {kind:?} span"
+                );
+            }
+            let last = o
+                .spans
+                .iter()
+                .rfind(|s| s.kind == RecoveryKind::Reprediction);
+            assert_eq!(last.map(|s| s.end_ns), Some(o.resume_ns));
+        }
+    }
+
+    #[test]
+    fn crash_only_redistribution_follows_cpu_power() {
+        let mut spec = quiet(4);
+        spec.nodes[3].cpu_power = 3.0;
+        spec.faults.crashes = vec![CrashSpec::at_iteration(0, 2)];
+        spec.faults.checkpoint_interval = 2;
+        let outcomes = crash_only(&spec, 6, 2);
+        let survivor = &outcomes[1];
+        assert!(survivor.alive);
+        assert_eq!(survivor.final_rows[0], 0);
+        // The power-3 node must end with the largest share.
+        let max = survivor.final_rows.iter().copied().max().unwrap();
+        assert_eq!(survivor.final_rows[3], max);
     }
 
     #[test]
     fn fault_free_run_never_rebalances() {
         let spec = quiet(4);
         let outcomes = run_adaptive_raw(&spec, &[16, 16, 16, 16], 10);
-        let want = resilient_residual(4, 10);
+        let want = crash_only_residual(4, 10);
         for o in &outcomes {
             assert!(o.alive);
             assert!(o.rebalances.is_empty(), "{:?}", o.rebalances);
@@ -1113,7 +1331,7 @@ mod tests {
             .degrades
             .push(DegradeSpec::at_iteration(1, 6, 4.0));
         let outcomes = run_adaptive_raw(&spec, &[16, 16, 16, 16], 24);
-        let crash_free = resilient_residual(4, 24);
+        let crash_free = crash_only_residual(4, 24);
         for o in &outcomes {
             assert!(o.alive);
             assert!(!o.rebalances.is_empty(), "degrade must trigger a rebalance");
@@ -1186,7 +1404,7 @@ mod tests {
             );
             assert!(o.final_rows[0] < 22, "slow member sheds");
         }
-        let crash_free = resilient_residual(4, 24);
+        let crash_free = crash_only_residual(4, 24);
         let rel = (outcomes[0].result.check - crash_free).abs() / crash_free.max(1e-30);
         assert!(rel < 1e-9, "rel {rel}");
     }
@@ -1197,7 +1415,7 @@ mod tests {
         spec.faults.crashes = vec![CrashSpec::at_iteration(2, 5)];
         spec.faults.checkpoint_interval = 4;
         let outcomes = run_adaptive_raw(&spec, &[16, 16, 16, 16], 10);
-        let crash_free = resilient_residual(4, 10);
+        let crash_free = crash_only_residual(4, 10);
         assert!(!outcomes[2].alive);
         for (r, o) in outcomes.iter().enumerate() {
             if r == 2 {
@@ -1336,5 +1554,28 @@ mod tests {
             assert!(o.transitions.is_empty());
             assert_eq!(o.final_rows, vec![32, 32, 32]);
         }
+    }
+
+    #[test]
+    fn adaptive_cg_rejects_a_missing_detector() {
+        let spec = quiet(2);
+        let driver = AdaptiveCg {
+            app: Cg::small(),
+            cfg: AdaptiveConfig {
+                detector: None,
+                ..AdaptiveConfig::default()
+            },
+        };
+        let err = run_app(
+            &spec,
+            RunOptions {
+                tracing: false,
+                mode: ExecMode::Normal,
+            },
+            |_| NullRecorder,
+            |comm| driver.run(comm, &[48, 48], 2, &[1.0, 1.0]),
+        )
+        .unwrap_err();
+        assert!(matches!(err, SimError::InvalidConfig(_)), "{err:?}");
     }
 }

@@ -17,13 +17,12 @@ use mheta_dist::{AnchorInputs, GenBlock};
 use mheta_mpi::{run_app, ExecMode, HookEvent, NullRecorder, RunOptions, Scope, VecRecorder};
 use mheta_sim::{ClusterSpec, FaultSpec, RankTrace, RecoveryKind, SimError, SimResult};
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveJacobi, AdaptiveOutcome};
+use crate::adaptive::{new_checkpoint_store, AdaptiveConfig, AdaptiveJacobi, AdaptiveOutcome};
 use crate::app::RankResult;
 use crate::cg::Cg;
 use crate::jacobi::Jacobi;
 use crate::lanczos::Lanczos;
 use crate::multigrid::Multigrid;
-use crate::resilient::{new_checkpoint_store, ResilientJacobi, ResilientOutcome};
 use crate::rna::Rna;
 
 /// One of the benchmark applications, dispatchable without generics.
@@ -300,75 +299,10 @@ pub fn anchor_inputs(model: &Mheta) -> AnchorInputs {
     }
 }
 
-// ---- crash-stop resilience ----------------------------------------------
+// ---- crash recovery and adaptive rebalancing ----------------------------
 
-/// Everything a resilient (checkpoint/restart) run produces.
-#[derive(Debug)]
-pub struct ResilientRun {
-    /// Per-rank outcomes (dead ranks included, marked `alive: false`).
-    pub outcomes: Vec<ResilientOutcome>,
-    /// Per-rank operational traces (tracing is always on: resilient
-    /// runs exist to be audited).
-    pub traces: Vec<RankTrace>,
-    /// Per-rank hook-event streams.
-    pub hooks: Vec<Vec<HookEvent>>,
-    /// Makespan over the *surviving* ranks' loop windows.
-    pub measured: Measured,
-    /// Per-rank `(t0_ns, t1_ns)` loop windows (a dead rank's window
-    /// ends at its death time).
-    pub windows: Vec<(u64, u64)>,
-}
-
-/// Run the resilient Jacobi driver cluster-wide. The checkpoint
-/// interval comes from `spec.faults.checkpoint_interval` (clamped to at
-/// least 1) and redistribution weights from the nodes' CPU powers.
-pub fn run_resilient(
-    app: &Jacobi,
-    spec: &ClusterSpec,
-    dist: &GenBlock,
-    iters: u32,
-) -> SimResult<ResilientRun> {
-    let interval = spec.faults.checkpoint_interval.max(1);
-    let weights: Vec<f64> = spec.nodes.iter().map(|n| n.cpu_power).collect();
-    let store = new_checkpoint_store();
-    let driver = ResilientJacobi { app: app.clone() };
-    let run = run_app(
-        spec,
-        RunOptions {
-            tracing: true,
-            mode: ExecMode::Normal,
-        },
-        |_| VecRecorder::default(),
-        |comm| driver.run(comm, dist, iters, interval, &weights, &store),
-    )?;
-    let survivors: Vec<&ResilientOutcome> = run.results.iter().filter(|o| o.alive).collect();
-    if survivors.is_empty() {
-        return Err(SimError::InvalidConfig(
-            "resilient run left no survivors".into(),
-        ));
-    }
-    let t0 = survivors.iter().map(|o| o.result.t0_ns).max().unwrap_or(0);
-    let t1 = survivors.iter().map(|o| o.result.t1_ns).max().unwrap_or(0);
-    let measured = Measured {
-        secs: (t1 - t0) as f64 / 1e9,
-        per_rank_secs: run.results.iter().map(|o| o.result.secs()).collect(),
-        check: survivors[0].result.check,
-    };
-    Ok(ResilientRun {
-        windows: run
-            .results
-            .iter()
-            .map(|o| (o.result.t0_ns, o.result.t1_ns))
-            .collect(),
-        outcomes: run.results,
-        traces: run.traces,
-        hooks: run.recorders.into_iter().map(|r| r.events).collect(),
-        measured,
-    })
-}
-
-/// Everything an adaptive (detector + mid-run rebalancing) run
-/// produces.
+/// Everything an adaptive (crash recovery, and with the detector on,
+/// mid-run rebalancing) run produces.
 #[derive(Debug)]
 pub struct AdaptiveRun {
     /// Per-rank outcomes (crashed ranks included, marked `alive:
@@ -385,10 +319,12 @@ pub struct AdaptiveRun {
     pub windows: Vec<(u64, u64)>,
 }
 
-/// Run the adaptive Jacobi driver cluster-wide: phi-accrual detection,
-/// slowdown-vs-crash disambiguation, and mid-run GEN_BLOCK rebalancing.
-/// `layout0` may contain zero-row hot spares; rebalancing weights come
-/// from the nodes' CPU powers.
+/// Run the adaptive Jacobi driver cluster-wide: checkpoint/restart
+/// crash recovery every `cfg.checkpoint_interval` iterations and, when
+/// `cfg.detector` is set, phi-accrual detection, slowdown-vs-crash
+/// disambiguation, and mid-run GEN_BLOCK rebalancing. With the detector
+/// off this is the crash-only driver. `layout0` may contain zero-row
+/// hot spares; redistribution weights come from the nodes' CPU powers.
 pub fn run_adaptive(
     app: &Jacobi,
     spec: &ClusterSpec,
@@ -437,7 +373,7 @@ pub fn run_adaptive(
     })
 }
 
-/// Summary of a resilient run's recovery, for comparing against the
+/// Summary of a crash recovery, for comparing against the
 /// model's post-failure forecast. `None` when no crash happened.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
@@ -458,11 +394,11 @@ pub struct RecoveryReport {
     pub recovery_ns: [f64; 4],
 }
 
-/// Extract a [`RecoveryReport`] from a resilient run, or `None` if no
-/// recovery happened.
+/// Extract a [`RecoveryReport`] from an adaptive run, or `None` if no
+/// crash recovery happened.
 #[must_use]
-pub fn recovery_report(run: &ResilientRun, iters: u32) -> Option<RecoveryReport> {
-    let survivors: Vec<&ResilientOutcome> = run.outcomes.iter().filter(|o| o.alive).collect();
+pub fn recovery_report(run: &AdaptiveRun, iters: u32) -> Option<RecoveryReport> {
+    let survivors: Vec<&AdaptiveOutcome> = run.outcomes.iter().filter(|o| o.alive).collect();
     let rollback_iteration = survivors
         .iter()
         .filter_map(|o| o.rollback_iteration)
@@ -529,7 +465,7 @@ pub fn recovery_report(run: &ResilientRun, iters: u32) -> Option<RecoveryReport>
 /// iteration, exactly the normal §5.1 workflow on the smaller machine)
 /// and predict the post-recovery layout. `final_rows` is the full
 /// per-rank layout with zeros at dead ranks, as
-/// [`ResilientOutcome::final_rows`] reports it.
+/// [`AdaptiveOutcome::final_rows`] reports it.
 pub fn repredict_after_crash(
     app: &Jacobi,
     spec: &ClusterSpec,

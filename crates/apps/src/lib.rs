@@ -29,23 +29,21 @@ pub mod jacobi;
 pub mod lanczos;
 pub mod multigrid;
 pub mod redistribute;
-pub mod resilient;
 pub mod rna;
 
-pub use adaptive::{AdaptiveCg, AdaptiveConfig, AdaptiveJacobi, AdaptiveOutcome, RebalanceEvent};
+pub use adaptive::{
+    new_checkpoint_store, AdaptiveCg, AdaptiveConfig, AdaptiveJacobi, AdaptiveOutcome, Checkpoint,
+    CheckpointStore, RebalanceEvent, VAR_CKPT, VAR_FETCH,
+};
 pub use app::RankResult;
 pub use cg::Cg;
 pub use harness::{
     anchor_inputs, build_model, percent_difference, recovery_report, repredict_after_crash,
-    run_adaptive, run_instrumented, run_measured, run_observed, run_resilient, AdaptiveRun,
-    Benchmark, Measured, Observed, RecoveryReport, ResilientRun,
+    run_adaptive, run_instrumented, run_measured, run_observed, AdaptiveRun, Benchmark, Measured,
+    Observed, RecoveryReport,
 };
 pub use jacobi::Jacobi;
 pub use lanczos::Lanczos;
 pub use multigrid::Multigrid;
 pub use redistribute::redistribute_var;
-pub use resilient::{
-    new_checkpoint_store, Checkpoint, CheckpointStore, ResilientJacobi, ResilientOutcome, VAR_CKPT,
-    VAR_FETCH,
-};
 pub use rna::Rna;

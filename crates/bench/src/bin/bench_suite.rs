@@ -41,6 +41,7 @@ use mheta_dist::{
     AnnealingConfig, CountingEvaluator, Evaluator, GbsConfig, GenBlock, GeneticConfig,
     PortfolioConfig, RandomConfig, SpectrumPath,
 };
+use mheta_mpi::DetectorConfig;
 use mheta_obs::{latency_value, AuditReport, TraceContext};
 use mheta_serve::{
     benchmark_by_name, PlanError, PlanRequest, Planner, PlannerConfig, SearchParams,
@@ -301,8 +302,13 @@ fn adaptive_entry(smoke: bool, fault_free: &[ClusterSpec]) -> Value {
     let spec = presets::with_degrade(presets::dc(), degraded_rank, 6, factor);
     let powers: Vec<f64> = spec.nodes.iter().map(|n| n.cpu_power).collect();
     let layout0 = GenBlock::apportion(app.rows, &powers).rows().to_vec();
-    let mut static_cfg = AdaptiveConfig::default();
-    static_cfg.detector.phi_threshold = f64::INFINITY;
+    let static_cfg = AdaptiveConfig {
+        detector: Some(DetectorConfig {
+            phi_threshold: f64::INFINITY,
+            ..DetectorConfig::default()
+        }),
+        ..AdaptiveConfig::default()
+    };
 
     let static_run =
         run_adaptive(&app, &spec, &layout0, iters, static_cfg).expect("static baseline run");

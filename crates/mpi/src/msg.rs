@@ -5,16 +5,14 @@
 //! kept deliberately dumb: little-endian `f64`s, no framing, since both
 //! endpoints agree on types by construction.
 
-use bytes::{Buf, BufMut, BytesMut};
-
 /// Encode a slice of `f64` into a payload.
 #[must_use]
 pub fn encode_f64s(data: &[f64]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(data.len() * 8);
-    for &x in data {
-        buf.put_f64_le(x);
+    let mut out = Vec::with_capacity(data.len() * 8);
+    for x in data {
+        out.extend_from_slice(&x.to_le_bytes());
     }
-    buf.to_vec()
+    out
 }
 
 /// Decode a payload produced by [`encode_f64s`].
@@ -30,12 +28,10 @@ pub fn decode_f64s(payload: &[u8]) -> Vec<f64> {
         "payload of {} bytes is not a whole number of f64s",
         payload.len()
     );
-    let mut buf = payload;
-    let mut out = Vec::with_capacity(payload.len() / 8);
-    while buf.has_remaining() {
-        out.push(buf.get_f64_le());
-    }
-    out
+    payload
+        .chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+        .collect()
 }
 
 /// Encode a single scalar.
@@ -62,6 +58,16 @@ mod tests {
     fn roundtrip_slice() {
         let xs = [1.5, -2.25, 0.0, f64::MAX, f64::MIN_POSITIVE];
         assert_eq!(decode_f64s(&encode_f64s(&xs)), xs);
+    }
+
+    #[test]
+    fn layout_is_little_endian_f64s() {
+        let bytes = encode_f64s(&[1.0, -2.5]);
+        assert_eq!(
+            bytes,
+            [0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0, 0, 0, 0, 0, 0, 0x04, 0xc0]
+        );
+        assert_eq!(encode_f64(1.0), bytes[..8]);
     }
 
     #[test]

@@ -171,7 +171,7 @@ impl AuditReport {
     }
 
     /// [`AuditReport::audit`] for a fault-tolerant run: `spans[i]` is
-    /// rank *i*'s recovery-span list (`ResilientOutcome::spans` in
+    /// rank *i*'s recovery-span list (`AdaptiveOutcome::spans` in
     /// `mheta-apps`). Window time inside a span is attributed wholesale
     /// to the span's term (`checkpoint` / `rollback` /
     /// `redistribution` / `reprediction`); events overlapping a span
@@ -369,7 +369,7 @@ fn actual_terms(trace: &RankTrace, t0: u64, t1: u64, spans: &[RecoverySpan]) -> 
     let window = t1.saturating_sub(t0);
     let mut covered = 0u64;
     // Clip the spans to the window and force them disjoint (the
-    // resilient driver records them sequential already; clamping makes
+    // recovery driver records them sequential already; clamping makes
     // the partition invariant unconditional).
     let mut cuts: Vec<(u64, u64, usize)> = spans
         .iter()

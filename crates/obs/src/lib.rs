@@ -51,7 +51,7 @@ pub mod trace;
 
 pub use audit::{AuditReport, RankAudit, TermLine, TERM_COUNT, TERM_NAMES};
 pub use critical_path::{CriticalPath, PathSegment, SegmentKind};
-pub use metrics::{Histogram, Metrics, RankBreakdown};
+pub use metrics::{Metrics, RankBreakdown};
 pub use perfetto::{
     perfetto_json, perfetto_json_adaptive, perfetto_json_with_recovery, perfetto_trace,
     perfetto_trace_adaptive, perfetto_trace_with_recovery,

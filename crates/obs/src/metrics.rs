@@ -16,6 +16,7 @@
 use std::collections::BTreeMap;
 
 use crate::json::Serialize;
+use mheta_dist::LatencyHistogram;
 use mheta_mpi::Transition;
 use mheta_sim::{EventKind, RankTrace, RecoverySpan};
 
@@ -96,87 +97,6 @@ impl RankBreakdown {
     }
 }
 
-/// A power-of-two-bucketed latency histogram (nanoseconds).
-///
-/// Bucket `i` counts samples in `[2^(i-1), 2^i)` ns, with bucket 0
-/// counting zero-valued samples. 65 buckets cover the full `u64`
-/// range, so recording never saturates.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Histogram {
-    /// Per-bucket sample counts.
-    pub buckets: Vec<u64>,
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of all samples, ns.
-    pub sum_ns: u64,
-    /// Smallest sample, ns (0 when empty).
-    pub min_ns: u64,
-    /// Largest sample, ns (0 when empty).
-    pub max_ns: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: vec![0; 65],
-            count: 0,
-            sum_ns: 0,
-            min_ns: 0,
-            max_ns: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Record one sample.
-    pub fn record(&mut self, ns: u64) {
-        let idx = if ns == 0 {
-            0
-        } else {
-            64 - ns.leading_zeros() as usize
-        };
-        self.buckets[idx] += 1;
-        if self.count == 0 {
-            self.min_ns = ns;
-            self.max_ns = ns;
-        } else {
-            self.min_ns = self.min_ns.min(ns);
-            self.max_ns = self.max_ns.max(ns);
-        }
-        self.count += 1;
-        self.sum_ns += ns;
-    }
-
-    /// Mean sample value, ns (0 when empty).
-    #[must_use]
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
-    /// Upper bound of the bucket containing the `q`-quantile
-    /// (`0.0 ≤ q ≤ 1.0`); 0 when empty. Quantiles from a log₂
-    /// histogram are bucket-resolution approximations.
-    #[must_use]
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                return if i == 0 { 0 } else { 1u64 << i };
-            }
-        }
-        self.max_ns
-    }
-}
-
 /// The metrics registry for one run: per-rank breakdowns, named
 /// counters, and named latency histograms. Keys are sorted (`BTreeMap`)
 /// so the JSON rendering is deterministic.
@@ -187,7 +107,7 @@ pub struct Metrics {
     /// Monotonic counters: event counts, byte totals, fault tallies.
     pub counters: BTreeMap<String, u64>,
     /// Latency histograms: operation durations and stall times.
-    pub histograms: BTreeMap<String, Histogram>,
+    pub histograms: BTreeMap<String, LatencyHistogram>,
 }
 
 impl Metrics {
@@ -299,7 +219,7 @@ impl Metrics {
 fn digest_rank(
     trace: &RankTrace,
     counters: &mut BTreeMap<String, u64>,
-    histograms: &mut BTreeMap<String, Histogram>,
+    histograms: &mut BTreeMap<String, LatencyHistogram>,
 ) -> RankBreakdown {
     let mut b = RankBreakdown {
         rank: trace.rank,
@@ -546,7 +466,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_bracket_samples() {
-        let mut h = Histogram::default();
+        let mut h = LatencyHistogram::default();
         for v in [0u64, 1, 2, 3, 100, 1000] {
             h.record(v);
         }

@@ -8,7 +8,7 @@
 //! * counters keep their registry name, sanitized
 //!   (`events.disk_read` → `mheta_events_disk_read_total`);
 //! * per-rank time buckets and memory peaks become labeled gauges;
-//! * the log₂ [`Histogram`]s / `LatencyHistogram`s become cumulative
+//! * the log₂ [`LatencyHistogram`]s become cumulative
 //!   `le`-bucketed Prometheus histograms in **seconds** (bucket `i`'s
 //!   upper bound is `2^i` ns), each with the mandatory `_sum` and
 //!   `_count` series and a terminal `le="+Inf"` bucket.
@@ -16,8 +16,6 @@
 //! The naming scheme (see DESIGN.md §12): every series starts with
 //! `mheta_`, serving-layer series with `mheta_serve_`; durations are
 //! `_seconds`, sizes `_bytes`, monotonic tallies `_total`.
-//!
-//! [`Histogram`]: crate::metrics::Histogram
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;

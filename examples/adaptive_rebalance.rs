@@ -25,6 +25,7 @@
 //! detection-latency histogram, rebalance totals).
 
 use mheta::apps::{run_adaptive, AdaptiveConfig, AdaptiveRun, Jacobi};
+use mheta::mpi::DetectorConfig;
 use mheta::obs::{perfetto_json_adaptive, Metrics};
 use mheta::prelude::*;
 use mheta::sim::{DegradeSpec, RecoverSpec};
@@ -34,9 +35,13 @@ const CRASHED_RANK: usize = 5;
 const ITERS: u32 = 40;
 
 fn static_cfg() -> AdaptiveConfig {
-    let mut cfg = AdaptiveConfig::default();
-    cfg.detector.phi_threshold = f64::INFINITY;
-    cfg
+    AdaptiveConfig {
+        detector: Some(DetectorConfig {
+            phi_threshold: f64::INFINITY,
+            ..DetectorConfig::default()
+        }),
+        ..AdaptiveConfig::default()
+    }
 }
 
 fn main() {

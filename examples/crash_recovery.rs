@@ -19,7 +19,7 @@
 //! per-rank "recovery" track carries the checkpoint/rollback/
 //! redistribution/reprediction slices).
 
-use mheta::apps::{recovery_report, repredict_after_crash, run_resilient};
+use mheta::apps::{recovery_report, repredict_after_crash};
 use mheta::obs::perfetto_json_with_recovery;
 use mheta::prelude::*;
 
@@ -47,9 +47,15 @@ fn main() {
         spec.len()
     );
 
-    // The failure run: checkpoint every 8 iterations, rank 2 dies when
-    // it begins iteration 40.
-    let run = run_resilient(&app, &spec, &dist, iters).expect("resilient run");
+    // The failure run: the adaptive driver with the detector off
+    // checkpoints every 8 iterations; rank 2 dies when it begins
+    // iteration 40.
+    let cfg = AdaptiveConfig {
+        detector: None,
+        checkpoint_interval: spec.faults.checkpoint_interval,
+        ..AdaptiveConfig::default()
+    };
+    let run = run_adaptive(&app, &spec, dist.rows(), iters, cfg).expect("crash-recovery run");
     let report = recovery_report(&run, iters).expect("a recovery happened");
     println!(
         "crash        rank {:?} died; survivors detected it, rolled back to \

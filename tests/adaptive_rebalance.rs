@@ -11,6 +11,7 @@
 
 use mheta_apps::{run_adaptive, AdaptiveConfig, AdaptiveRun, Jacobi};
 use mheta_dist::GenBlock;
+use mheta_mpi::DetectorConfig;
 use mheta_sim::presets::{dc, with_degrade};
 use mheta_sim::ClusterSpec;
 
@@ -36,13 +37,18 @@ fn cpu_powers(spec: &ClusterSpec) -> Vec<f64> {
     spec.nodes.iter().map(|n| n.cpu_power).collect()
 }
 
-/// The adaptive driver with detection disabled: identical per-iteration
-/// overheads (heartbeat exchange, checkpoints) but no suspicion and no
-/// rebalancing — the fair static baseline.
+/// The adaptive driver with a detector that never suspects: identical
+/// per-iteration overheads (heartbeat exchange, checkpoints) but no
+/// suspicion and no rebalancing — the fair static baseline. (`detector:
+/// None` would also drop the heartbeat exchange.)
 fn static_cfg() -> AdaptiveConfig {
-    let mut cfg = AdaptiveConfig::default();
-    cfg.detector.phi_threshold = f64::INFINITY;
-    cfg
+    AdaptiveConfig {
+        detector: Some(DetectorConfig {
+            phi_threshold: f64::INFINITY,
+            ..DetectorConfig::default()
+        }),
+        ..AdaptiveConfig::default()
+    }
 }
 
 fn degraded_spec() -> ClusterSpec {

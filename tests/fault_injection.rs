@@ -338,7 +338,7 @@ mod crash_stop {
     //! detect it (no hang), roll back to the last checkpoint,
     //! redistribute the dead rank's rows, re-predict, and complete.
     use super::*;
-    use mheta::apps::{recovery_report, repredict_after_crash, run_resilient};
+    use mheta::apps::{recovery_report, repredict_after_crash, run_adaptive, AdaptiveRun};
     use mheta::mpi::TAG_COLLECTIVE_BASE;
     use mheta::obs::{perfetto_trace_with_recovery, AuditReport};
     use mheta::sim::{CrashSpec, EventKind};
@@ -348,6 +348,21 @@ mod crash_stop {
         spec.faults.crashes = crashes;
         spec.faults.checkpoint_interval = interval;
         spec
+    }
+
+    /// The crash-only driver: adaptive Jacobi with the detector off.
+    fn run_crash_only(
+        app: &Jacobi,
+        spec: &ClusterSpec,
+        dist: &GenBlock,
+        iters: u32,
+    ) -> AdaptiveRun {
+        let cfg = AdaptiveConfig {
+            detector: None,
+            checkpoint_interval: spec.faults.checkpoint_interval,
+            ..AdaptiveConfig::default()
+        };
+        run_adaptive(app, spec, dist.rows(), iters, cfg).unwrap()
     }
 
     /// The crash-free residual of the same app/distribution, for
@@ -366,7 +381,7 @@ mod crash_stop {
         let app = Jacobi::small();
         let dist = GenBlock::block(app.rows, 4);
         let spec = crashy(11, vec![CrashSpec::at_iteration(2, 5)], 3);
-        let run = run_resilient(&app, &spec, &dist, 10).unwrap();
+        let run = run_crash_only(&app, &spec, &dist, 10);
         let report = recovery_report(&run, 10).expect("a recovery happened");
         assert_eq!(report.dead, vec![2]);
         assert_eq!(report.rollback_iteration, 3, "last checkpoint before it 5");
@@ -386,7 +401,7 @@ mod crash_stop {
         let app = Jacobi::small();
         let dist = GenBlock::block(app.rows, 4);
         let spec = crashy(13, vec![CrashSpec::at_iteration(1, 0)], 4);
-        let run = run_resilient(&app, &spec, &dist, 6).unwrap();
+        let run = run_crash_only(&app, &spec, &dist, 6);
         let report = recovery_report(&run, 6).expect("a recovery happened");
         assert_eq!(report.dead, vec![1]);
         assert_eq!(report.rollback_iteration, 0, "nothing checkpointed yet");
@@ -402,7 +417,7 @@ mod crash_stop {
         // Find, on a crash-free run, when the victim enters the
         // residual reduction of iteration ~4, and kill it right there.
         let clean = crashy(17, vec![], 3);
-        let probe = run_resilient(&app, &clean, &dist, 10).unwrap();
+        let probe = run_crash_only(&app, &clean, &dist, 10);
         let collective_start = probe.traces[2]
             .events
             .iter()
@@ -420,7 +435,7 @@ mod crash_stop {
             at_iteration: None,
             at_time_ns: Some(collective_start + 1),
         }];
-        let run = run_resilient(&app, &spec, &dist, 10).unwrap();
+        let run = run_crash_only(&app, &spec, &dist, 10);
         let report = recovery_report(&run, 10).expect("a recovery happened");
         assert_eq!(report.dead, vec![2]);
         assert!(!run.outcomes[2].alive);
@@ -438,7 +453,7 @@ mod crash_stop {
             vec![CrashSpec::at_iteration(1, 3), CrashSpec::at_iteration(3, 7)],
             2,
         );
-        let run = run_resilient(&app, &spec, &dist, 10).unwrap();
+        let run = run_crash_only(&app, &spec, &dist, 10);
         let report = recovery_report(&run, 10).expect("recoveries happened");
         assert_eq!(report.dead, vec![1, 3]);
         let expect = crash_free_check(&app, &spec, &dist, 10);
@@ -460,7 +475,7 @@ mod crash_stop {
         for node in &mut spec.nodes {
             node.memory_bytes = 8 * 1024 * 1024; // in-core driver: shares must fit
         }
-        let run = run_resilient(&app, &spec, &dist, iters).unwrap();
+        let run = run_crash_only(&app, &spec, &dist, iters);
         let report = recovery_report(&run, iters).expect("a recovery happened");
         let survivor = run.outcomes.iter().find(|o| o.alive).unwrap();
         let pred = repredict_after_crash(&app, &spec, &report.dead, &survivor.final_rows).unwrap();
@@ -483,7 +498,7 @@ mod crash_stop {
         let model = build_model(&Benchmark::Jacobi(app.clone()), &clean, false).unwrap();
         let pred = model.predict(dist.rows()).unwrap();
         let spec = crashy(29, vec![CrashSpec::at_iteration(2, 5)], 3);
-        let run = run_resilient(&app, &spec, &dist, iters).unwrap();
+        let run = run_crash_only(&app, &spec, &dist, iters);
         let spans: Vec<_> = run.outcomes.iter().map(|o| o.spans.clone()).collect();
 
         // Audit: the recovery terms carry exactly the span time, and

@@ -119,11 +119,11 @@ mod trace_invariants {
 
 mod crash_determinism {
     use super::*;
-    use mheta::apps::run_resilient;
+    use mheta::apps::{run_adaptive, AdaptiveConfig};
     use proptest::prelude::*;
 
     proptest! {
-        // Each case runs two full resilient 4-rank recoveries.
+        // Each case runs two full crash-only 4-rank recoveries.
         #![proptest_config(ProptestConfig::with_cases(8))]
 
         /// Identical seeds and crash plans reproduce the entire
@@ -137,7 +137,7 @@ mod crash_determinism {
             interval in 1u32..4,
         ) {
             // hybrid()'s memory-starved node 3 would (correctly) be
-            // rejected by the in-core resilient driver; keep the CPU
+            // rejected by the in-core crash-recovery driver; keep the CPU
             // heterogeneity and noise, drop the starvation.
             let mut spec = hybrid(seed);
             spec.nodes[3].memory_bytes = 512 * 1024;
@@ -152,8 +152,13 @@ mod crash_determinism {
             };
             let app = Jacobi::small();
             let dist = GenBlock::block(app.rows, 4);
-            let a = run_resilient(&app, &spec, &dist, 10).unwrap();
-            let b = run_resilient(&app, &spec, &dist, 10).unwrap();
+            let cfg = AdaptiveConfig {
+                detector: None,
+                checkpoint_interval: spec.faults.checkpoint_interval,
+                ..AdaptiveConfig::default()
+            };
+            let a = run_adaptive(&app, &spec, dist.rows(), 10, cfg).unwrap();
+            let b = run_adaptive(&app, &spec, dist.rows(), 10, cfg).unwrap();
             for (ta, tb) in a.traces.iter().zip(&b.traces) {
                 prop_assert!(ta.events == tb.events, "rank {} trace diverged", ta.rank);
                 prop_assert_eq!(ta.finish, tb.finish);
